@@ -26,14 +26,13 @@ we report both the max and the mean.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.graphs.base import Edge, Graph, Vertex
 from repro.graphs.traversal import bfs_distances
-from repro.percolation.cluster import connected
-from repro.percolation.models import PercolationModel, TablePercolation
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -98,23 +97,6 @@ class Lemma5Certificate:
         )
 
 
-def _reachable_within(
-    model: PercolationModel, start: Vertex, region: set[Vertex]
-) -> set[Vertex]:
-    """Return vertices of ``region`` connected to ``start`` inside it."""
-    if start not in region:
-        return set()
-    seen = {start}
-    queue: deque[Vertex] = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in model.open_neighbors(x):
-            if y in region and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
 def estimate_certificate(
     graph: Graph,
     p: float,
@@ -123,18 +105,25 @@ def estimate_certificate(
     target: Vertex,
     trials: int = 200,
     seed: int = 0,
-    model_factory: Callable[[Graph, float, int], PercolationModel] = (
-        TablePercolation
-    ),
     cut: Iterable[Edge] | None = None,
 ) -> Lemma5Certificate:
     """Monte-Carlo-estimate the Lemma 5 certificate for cut ``(S, S̄)``.
 
-    Per trial (one percolation draw): compute the open cluster of
-    ``target`` **inside** ``S`` once, then check which cut edges have
-    their ``S``-endpoint in it; also record whether ``(u ~ v) ∈ S``
-    (when ``u ∈ S``) and ground-truth ``u ~ v``.
+    Per trial (one percolation draw, trial ``t`` seeded as ``("lemma5",
+    t)`` and bit-identical to ``TablePercolation``): the open cluster
+    of ``target`` **inside** ``S`` decides which cut edges have their
+    ``S``-endpoint in it and whether ``(u ~ v) ∈ S``; ground-truth
+    ``u ~ v`` is taken over the whole graph.  All trials are drawn as
+    one mask matrix over the graph's compiled
+    :class:`~repro.kernels.topology.EdgeIndex`; the cluster inside
+    ``S`` is the target's component over the open edges with both ends
+    in ``S``.
     """
+    # Deferred: repro.kernels imports repro.core.
+    from repro.kernels.bfs import batched_connected, component_labels
+    from repro.kernels.percolation import table_edge_masks
+    from repro.kernels.topology import require_edge_index
+
     if target not in s:
         raise ValueError("Lemma 5 requires the target inside S")
     if source in s and source == target:
@@ -144,29 +133,29 @@ def estimate_certificate(
     cut_list = list(cut) if cut is not None else cut_edges(graph, s)
     if not cut_list:
         raise ValueError("the cut (S, S̄) has no edges; bound is vacuous")
-
-    edge_hits = [0] * len(cut_list)
-    uv_in_s = 0
-    uv = 0
     # Identify, per cut edge, its endpoint inside S.
     s_endpoints = []
     for a, b in cut_list:
         if a in s and b in s:
             raise ValueError(f"edge {(a, b)!r} does not cross the cut")
         s_endpoints.append(a if a in s else b)
+    graph._require_vertex(source)
+    graph._require_vertex(target)
 
-    for t in range(trials):
-        model = model_factory(graph, p, derive_seed(seed, "lemma5", t))
-        cluster = _reachable_within(model, target, s)
-        for i, endpoint in enumerate(s_endpoints):
-            if endpoint in cluster:
-                edge_hits[i] += 1
-        if source in cluster:
-            uv_in_s += 1
-        if connected(model, source, target):
-            uv += 1
-
-    eta_estimates = [hits / trials for hits in edge_hits]
+    index = require_edge_index(graph)
+    code = index.code
+    seeds = [derive_seed(seed, "lemma5", t) for t in range(trials)]
+    masks = table_edge_masks(p, seeds, index.num_edges)
+    source_code, target_code = code[source], code[target]
+    uv = int(batched_connected(index, masks, source_code, target_code).sum())
+    in_s = np.zeros(index.num_vertices, dtype=bool)
+    in_s[[code[v] for v in s if v in code]] = True
+    inner = in_s[index.edge_u] & in_s[index.edge_v]
+    labels = component_labels(index, masks & inner)
+    cluster = labels == labels[:, target_code : target_code + 1]
+    edge_hits = cluster[:, [code[v] for v in s_endpoints]].sum(axis=0)
+    uv_in_s = int(cluster[:, source_code].sum())
+    eta_estimates = [hits / trials for hits in edge_hits.tolist()]
     return Lemma5Certificate(
         eta_max=max(eta_estimates),
         eta_mean=sum(eta_estimates) / len(eta_estimates),

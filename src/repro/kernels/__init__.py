@@ -24,7 +24,7 @@ Layout
     that answer exactly like the per-trial models they replace.
 :mod:`~repro.kernels.bfs`
     Chunk-wide reachability (the conditioning step) by batched
-    frontier expansion.
+    frontier expansion, and chunk-wide cluster labelling.
 :mod:`~repro.kernels.routing`
     Lockstep frontier-array routing kernels replaying the complete
     -information routers probe for probe, plus the router-kernel
@@ -34,7 +34,7 @@ Layout
     the model-kernel registry percolation factories opt into.
 """
 
-from repro.kernels.bfs import batched_connected
+from repro.kernels.bfs import batched_connected, component_labels
 from repro.kernels.complexity import (
     compile_run_trial_chunk,
     node_model_kernel,
@@ -57,7 +57,11 @@ from repro.kernels.routing import (
     router_kernel_for,
     routing_incidence,
 )
-from repro.kernels.topology import EdgeIndex, build_edge_index
+from repro.kernels.topology import (
+    EdgeIndex,
+    build_edge_index,
+    require_edge_index,
+)
 from repro.kernels.traffic import compile_traffic_chunk
 
 __all__ = [
@@ -68,6 +72,7 @@ __all__ = [
     "PairRoutingUnsupported",
     "batched_connected",
     "build_edge_index",
+    "component_labels",
     "compile_run_trial_chunk",
     "compile_traffic_chunk",
     "node_model_kernel",
@@ -75,6 +80,7 @@ __all__ = [
     "register_model_kernel",
     "register_router_kernel",
     "register_router_pair_kernel",
+    "require_edge_index",
     "router_kernel_for",
     "routing_incidence",
     "site_model_kernel",

@@ -41,7 +41,7 @@ from repro.graphs.base import Vertex
 from repro.kernels.bfs import block_rows
 from repro.kernels.topology import EdgeIndex
 from repro.percolation.models import PercolationModel
-from repro.util.rng import MAX_SEED, derive_seed
+from repro.util.rng import MAX_SEED, derive_seed, uniforms_for
 
 __all__ = [
     "LazySiteDraw",
@@ -61,9 +61,13 @@ def table_edge_masks(
 
     Row-for-row identical to ``TablePercolation(graph, p, seed).mask``:
     same child-seed derivation, same generator, same threshold
-    comparison — only the per-trial edge enumeration and set/dict
-    builds are gone.
+    comparison, same :class:`ValueError` for ``p`` outside ``[0, 1]``
+    — only the per-trial edge enumeration and set/dict builds are gone.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(
+            f"retention probability must be in [0,1], got {p!r}"
+        )
     out = np.empty((len(seeds), num_edges), dtype=bool)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(derive_seed(seed, "table-percolation"))
@@ -86,17 +90,8 @@ def site_up_masks(
     """
     blobs = [repr(("site", v)).encode("utf-8") for v in verts]
     out = np.empty((len(seeds), len(blobs)), dtype=bool)
-    blake2b = hashlib.blake2b
     for i, seed in enumerate(seeds):
-        if not 0 <= seed <= MAX_SEED:
-            raise ValueError(
-                f"seed must be a 64-bit unsigned int, got {seed!r}"
-            )
-        key = seed.to_bytes(8, "little")
-        row = out[i]
-        for j, blob in enumerate(blobs):
-            digest = blake2b(blob, digest_size=8, key=key).digest()
-            row[j] = int.from_bytes(digest, "little") / _SCALE < p
+        out[i] = uniforms_for(seed, blobs) < p
     for code in pinned_codes:
         out[:, code] = True
     return out

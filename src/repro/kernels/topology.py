@@ -38,7 +38,7 @@ from repro.graphs.debruijn import DeBruijn
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
 
-__all__ = ["EdgeIndex", "build_edge_index"]
+__all__ = ["EdgeIndex", "build_edge_index", "require_edge_index"]
 
 #: Refuse to materialise indexes beyond this many vertices — the same
 #: bound ``repro.core.complexity._default_factory`` uses to switch from
@@ -270,4 +270,13 @@ def build_edge_index(graph: Graph) -> EdgeIndex | None:
     index = EdgeIndex(graph, edge_u, edge_v)
     index._verts = verts
     index._code = code
+    return index
+
+
+def require_edge_index(graph: Graph) -> EdgeIndex:
+    """Return :func:`build_edge_index` of ``graph``; raise
+    :class:`ValueError` where it would return ``None``."""
+    index = build_edge_index(graph)
+    if index is None:
+        raise ValueError(f"{graph.name} is too large to enumerate its edges")
     return index

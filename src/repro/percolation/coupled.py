@@ -15,14 +15,28 @@ no scanning, no bisection:
 These exact thresholds agree with :class:`HashPercolation` by
 construction (same hash stream), which the test suite verifies — and
 they turn threshold experiments from O(grid × trials) into O(trials).
+
+**Compiled edge arrays.**  A threshold experiment asks the same graph
+once per trial, so each graph is compiled once (per process, cached by
+identity) into its :class:`~repro.kernels.topology.EdgeIndex` endpoint
+codes plus the serialised ``("edge", key)`` hash key of every edge.  A
+trial then hashes those bytes under its seed
+(:func:`~repro.util.rng.uniforms_for`, the keyed BLAKE2b of
+:func:`~repro.util.rng.uniform_for`), sorts the levels with numpy —
+exact ties broken by canonical edge key, as a sort of ``(level, key)``
+tuples would — and runs Kruskal on an integer union–find.
 """
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import dataclass
+
+import numpy as np
+
 from repro.graphs.base import Graph, Vertex
 from repro.percolation.models import HashPercolation
-from repro.util.rng import uniform_for
-from repro.util.unionfind import DisjointSets
+from repro.util.rng import uniform_for, uniforms_for
 
 __all__ = [
     "edge_level",
@@ -41,12 +55,69 @@ def edge_level(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
     return uniform_for(seed, "edge", graph.edge_key(u, v))
 
 
-def _sorted_levels(graph: Graph, seed: int) -> list[tuple[float, tuple]]:
-    levels = [
-        (uniform_for(seed, "edge", e), e) for e in graph.edges()
-    ]
-    levels.sort()
-    return levels
+@dataclass(frozen=True)
+class _EdgeData:
+    """One graph's edges as the coupled sweeps need them.
+
+    Cached under ``id(graph)`` and dropped when the graph is collected;
+    it holds no reference to the graph, so it never keeps one alive.
+    """
+
+    num_vertices: int
+    code: dict  # vertex -> code
+    # Edges in canonical-key order: a stable sort by level then breaks
+    # exact ties by key, as sorting ``(level, key)`` tuples does.
+    edge_u: np.ndarray  # endpoint codes
+    edge_v: np.ndarray
+    blobs: list  # repr(("edge", key)) bytes
+
+
+_EDGE_DATA: dict[int, _EdgeData] = {}
+
+
+def _edge_data(graph: Graph) -> _EdgeData:
+    data = _EDGE_DATA.get(id(graph))
+    if data is None:
+        # Deferred: repro.kernels imports this package's models.
+        from repro.kernels.topology import require_edge_index
+
+        index = require_edge_index(graph)
+        verts = index.verts
+        keys = [
+            (verts[a], verts[b])
+            for a, b in zip(index.edge_u.tolist(), index.edge_v.tolist())
+        ]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        perm = np.asarray(order, dtype=np.int64)
+        data = _EdgeData(
+            num_vertices=index.num_vertices,
+            code=index.code,
+            edge_u=index.edge_u[perm],
+            edge_v=index.edge_v[perm],
+            blobs=[repr(("edge", keys[e])).encode("utf-8") for e in order],
+        )
+        _EDGE_DATA[id(graph)] = data
+        weakref.finalize(graph, _EDGE_DATA.pop, id(graph), None)
+    return data
+
+
+def _sweep(data: _EdgeData, seed: int):
+    """Return ``(level, a, b)`` per edge, in Kruskal order, for one
+    coupling (``a``/``b`` are endpoint codes)."""
+    levels = uniforms_for(seed, data.blobs)
+    order = np.argsort(levels, kind="stable")
+    return zip(
+        levels[order].tolist(),
+        data.edge_u[order].tolist(),
+        data.edge_v[order].tolist(),
+    )
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]  # path halving
+        x = parent[x]
+    return x
 
 
 def pair_threshold(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
@@ -61,11 +132,15 @@ def pair_threshold(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
     graph._require_vertex(v)
     if u == v:
         return 0.0
-    ds = DisjointSets()
-    for level, (a, b) in _sorted_levels(graph, seed):
-        ds.union(a, b)
-        if ds.connected(u, v):
-            return level
+    data = _edge_data(graph)
+    cu, cv = data.code[u], data.code[v]
+    parent = list(range(data.num_vertices))
+    for level, a, b in _sweep(data, seed):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[rb] = ra
+            if _find(parent, cu) == _find(parent, cv):
+                return level
     return float("inf")
 
 
@@ -82,10 +157,18 @@ def giant_threshold(graph: Graph, seed: int, fraction: float) -> float:
     target = fraction * n
     if target <= 1:
         return 0.0  # singletons already qualify
-    ds = DisjointSets()
-    for level, (a, b) in _sorted_levels(graph, seed):
-        ds.union(a, b)
-        if ds.set_size(a) >= target:
+    data = _edge_data(graph)
+    parent = list(range(n))
+    size = [1] * n
+    for level, a, b in _sweep(data, seed):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            continue
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        size[ra] += size[rb]
+        if size[ra] >= target:
             return level
     return float("inf")
 

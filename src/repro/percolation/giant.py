@@ -6,19 +6,26 @@ Erdős–Spencer connectivity threshold (``p = 1/2``), mesh percolation
 thresholds, and pair-connectivity curves for the double tree (Lemma 6).
 Experiment E11 uses these scans to place the routing transition (E1) on
 the same axis as the structural transitions.
+
+The scans run on compiled edge arrays: the graph is compiled once into
+its :class:`~repro.kernels.topology.EdgeIndex`, each ``p`` draws all
+its trials' open-edge rows in one
+:func:`~repro.kernels.percolation.table_edge_masks` call (row ``t`` is
+bit-identical to ``TablePercolation`` under trial ``t``'s seed), and
+cluster questions are answered for every row at once —
+:func:`~repro.kernels.bfs.component_labels` for component sizes,
+:func:`~repro.kernels.bfs.batched_connected` for pair connectivity.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.graphs.base import Graph, Vertex
-from repro.percolation.cluster import (
-    component_sizes,
-    connected,
-    largest_component_size,
-)
-from repro.percolation.models import PercolationModel, TablePercolation
+from repro.percolation.cluster import largest_component_size
+from repro.percolation.models import PercolationModel
 from repro.util.rng import derive_seed
 from repro.util.stats import mean_ci, proportion_ci
 
@@ -30,8 +37,6 @@ __all__ = [
     "pair_connectivity_scan",
 ]
 
-ModelFactory = Callable[[Graph, float, int], PercolationModel]
-
 
 def giant_fraction(model: PercolationModel) -> float:
     """Return |largest open cluster| / |V|."""
@@ -39,11 +44,7 @@ def giant_fraction(model: PercolationModel) -> float:
 
 
 def giant_fraction_scan(
-    graph: Graph,
-    ps: Sequence[float],
-    trials: int,
-    seed: int,
-    model_factory: ModelFactory = TablePercolation,
+    graph: Graph, ps: Sequence[float], trials: int, seed: int
 ) -> list[dict]:
     """Estimate the giant fraction (and second-cluster fraction) per ``p``.
 
@@ -53,14 +54,10 @@ def giant_fraction_scan(
     _validate_scan(ps, trials)
     rows = []
     n = graph.num_vertices()
-    for p in ps:
-        fractions = []
-        seconds = []
-        for t in range(trials):
-            model = model_factory(graph, p, derive_seed(seed, "giant", p, t))
-            sizes = component_sizes(model)
-            fractions.append(sizes[0] / n if sizes else 0.0)
-            seconds.append(sizes[1] / n if len(sizes) > 1 else 0.0)
+    for p, index, masks in _draws(graph, ps, trials, seed, "giant"):
+        largest, second = _two_largest(index, masks)
+        fractions = [size / n if n else 0.0 for size in largest]
+        seconds = [size / n if n else 0.0 for size in second]
         mean, lo, hi = mean_ci(fractions)
         second_mean, _, _ = mean_ci(seconds)
         rows.append(
@@ -82,18 +79,18 @@ def pair_connectivity_scan(
     trials: int,
     seed: int,
     pair: tuple[Vertex, Vertex] | None = None,
-    model_factory: ModelFactory = TablePercolation,
 ) -> list[dict]:
     """Estimate ``Pr[u ~ v]`` per ``p`` (defaults to the canonical pair)."""
     _validate_scan(ps, trials)
     u, v = pair if pair is not None else graph.canonical_pair()
+    graph._require_vertex(u)
+    graph._require_vertex(v)
+    from repro.kernels.bfs import batched_connected
+
     rows = []
-    for p in ps:
-        hits = 0
-        for t in range(trials):
-            model = model_factory(graph, p, derive_seed(seed, "pair", p, t))
-            if connected(model, u, v):
-                hits += 1
+    for p, index, masks in _draws(graph, ps, trials, seed, "pair"):
+        hits = batched_connected(index, masks, index.code[u], index.code[v])
+        hits = int(hits.sum())
         rate, lo, hi = proportion_ci(hits, trials)
         rows.append(
             {"p": p, "pr_connected": rate, "ci_lo": lo, "ci_hi": hi, "trials": trials}
@@ -102,11 +99,7 @@ def pair_connectivity_scan(
 
 
 def full_connectivity_scan(
-    graph: Graph,
-    ps: Sequence[float],
-    trials: int,
-    seed: int,
-    model_factory: ModelFactory = TablePercolation,
+    graph: Graph, ps: Sequence[float], trials: int, seed: int
 ) -> list[dict]:
     """Estimate ``Pr[G_p connected]`` per ``p``.
 
@@ -116,12 +109,9 @@ def full_connectivity_scan(
     _validate_scan(ps, trials)
     n = graph.num_vertices()
     rows = []
-    for p in ps:
-        hits = 0
-        for t in range(trials):
-            model = model_factory(graph, p, derive_seed(seed, "conn", p, t))
-            if largest_component_size(model) == n:
-                hits += 1
+    for p, index, masks in _draws(graph, ps, trials, seed, "conn"):
+        largest, _ = _two_largest(index, masks)
+        hits = sum(1 for size in largest if size == n)
         rate, lo, hi = proportion_ci(hits, trials)
         rows.append(
             {"p": p, "pr_connected": rate, "ci_lo": lo, "ci_hi": hi, "trials": trials}
@@ -155,3 +145,37 @@ def _validate_scan(ps: Sequence[float], trials: int) -> None:
         raise ValueError("scan needs at least one probability")
     if trials < 1:
         raise ValueError("scan needs at least one trial")
+
+
+# The array helpers import repro.kernels when called: repro.kernels
+# imports this package's models.
+
+
+def _draws(
+    graph: Graph, ps: Sequence[float], trials: int, seed: int, tag: str
+):
+    """Compile ``graph`` once; yield ``(p, index, masks)`` per ``p``,
+    mask row ``t`` seeded as ``(tag, p, t)``."""
+    from repro.kernels.percolation import table_edge_masks
+    from repro.kernels.topology import require_edge_index
+
+    index = require_edge_index(graph)
+    for p in ps:
+        seeds = [derive_seed(seed, tag, p, t) for t in range(trials)]
+        yield p, index, table_edge_masks(p, seeds, index.num_edges)
+
+
+def _two_largest(index, masks: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per row, the largest and second-largest open cluster sizes (0 if
+    there is no such cluster)."""
+    from repro.kernels.bfs import component_labels
+
+    labels = component_labels(index, masks)
+    trials, n = labels.shape
+    if n < 2:
+        return [n] * trials, [0] * trials
+    node = labels + np.arange(trials, dtype=np.int64)[:, None] * n
+    sizes = np.bincount(node.ravel(), minlength=trials * n)
+    sizes = np.sort(sizes.reshape(trials, n), axis=1)
+    return sizes[:, -1].tolist(), sizes[:, -2].tolist()
+

@@ -24,13 +24,17 @@ The hash is BLAKE2b keyed with the seed; keys are serialised with
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from typing import Any
+
+import numpy as np
 
 __all__ = [
     "MAX_SEED",
     "derive_seed",
     "edge_coin",
     "uniform_for",
+    "uniforms_for",
 ]
 
 #: Seeds are 64-bit unsigned integers.
@@ -39,17 +43,20 @@ MAX_SEED = 2**64 - 1
 _SCALE = float(2**64)
 
 
-def _digest(seed: int, key: tuple[Any, ...]) -> bytes:
-    """Return an 8-byte keyed digest of ``key`` under ``seed``.
+def _seed_key(seed: int) -> bytes:
+    """Return the BLAKE2b key bytes of ``seed``.
 
     Raises :class:`ValueError` if ``seed`` is outside ``[0, MAX_SEED]``.
     """
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+    return seed.to_bytes(8, "little")
+
+
+def _digest(seed: int, key: tuple[Any, ...]) -> bytes:
+    """Return an 8-byte keyed digest of ``key`` under ``seed``."""
     hasher = hashlib.blake2b(
-        repr(key).encode("utf-8"),
-        digest_size=8,
-        key=seed.to_bytes(8, "little"),
+        repr(key).encode("utf-8"), digest_size=8, key=_seed_key(seed)
     )
     return hasher.digest()
 
@@ -68,6 +75,27 @@ def uniform_for(seed: int, *key: Any) -> float:
     True
     """
     return int.from_bytes(_digest(seed, key), "little") / _SCALE
+
+
+def uniforms_for(seed: int, blobs: Sequence[bytes]) -> np.ndarray:
+    """Return :func:`uniform_for` of many keys as one float64 array.
+
+    ``blobs[i]`` is key ``i`` already serialised, ``repr(key).encode(
+    "utf-8")``, so a caller drawing the same keys under many seeds pays
+    for the ``repr`` once.  Entry ``i`` equals ``uniform_for(seed,
+    *key)`` bit for bit: uint64 -> float64 rounds to nearest, like the
+    int -> float conversion, and scaling by ``2**-64`` is exact.
+
+    >>> blob = repr(("edge", (0, 1))).encode("utf-8")
+    >>> float(uniforms_for(7, [blob])[0]) == uniform_for(7, "edge", (0, 1))
+    True
+    """
+    key = _seed_key(seed)
+    blake2b = hashlib.blake2b
+    digests = b"".join(
+        [blake2b(blob, digest_size=8, key=key).digest() for blob in blobs]
+    )
+    return np.frombuffer(digests, dtype="<u8") / _SCALE
 
 
 def edge_coin(seed: int, edge: Any, p: float) -> bool:

@@ -111,9 +111,16 @@ class TestOpenWalkProbabilityBound:
         for seed in range(trials):
             model = TablePercolation(g, p, seed=seed)
             # reachability within S
-            from repro.core.lower_bounds import _reachable_within
-
-            if x in _reachable_within(model, 0, s):
+            reached, frontier = {0}, [0]
+            while frontier:
+                frontier = [
+                    w
+                    for y in frontier
+                    for w in model.open_neighbors(y)
+                    if w in s and w not in reached
+                ]
+                reached.update(frontier)
+            if x in reached:
                 hits += 1
         estimate = hits / trials
         bound = open_walk_probability_bound(n, l, p)
