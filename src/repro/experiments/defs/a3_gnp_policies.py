@@ -25,7 +25,7 @@ from repro.experiments.registry import register
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.complete import CompleteGraph
-from repro.percolation.models import GnpPercolation
+from repro.percolation.models import gnp_factory
 from repro.routers.gnp import (
     GnpBidirectionalRouter,
     GnpLocalRouter,
@@ -35,10 +35,6 @@ from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = ["n", "c", "router", "connected_trials", "mean_queries", "vs_local"]
-
-
-def _factory(graph, p, seed):
-    return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)
 
 
 def run(scale: str, seed: int, runner=None) -> ResultTable:
@@ -67,7 +63,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
                 router=router,
                 trials=trials,
                 seed=derive_seed(seed, "a3", n),  # same seeds per router
-                model_factory=_factory,
+                model_factory=gnp_factory,
                 key=("a3", n, router.name),
             ),
         )

@@ -22,7 +22,7 @@ from repro.experiments.registry import register
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.complete import CompleteGraph
-from repro.percolation.models import GnpPercolation
+from repro.percolation.models import gnp_factory
 from repro.routers.gnp import GnpLocalRouter
 from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
@@ -35,10 +35,6 @@ COLUMNS = [
     "queries_over_n2",
     "theory_pr_below_mean",
 ]
-
-
-def _factory(graph, p, seed):
-    return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)
 
 
 def run(scale: str, seed: int, runner=None) -> ResultTable:
@@ -66,7 +62,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
                 router=GnpLocalRouter(),
                 trials=trials,
                 seed=derive_seed(seed, "e9", c, n),
-                model_factory=_factory,
+                model_factory=gnp_factory,
                 key=("e9", c, n),
             ),
         )

@@ -6,25 +6,26 @@ routing beats the best local routing by exactly ``√n``.  Theorem 11's
 *universal* lower bound ``Pr[comp < a·n^{3/2}] ≤ (3c/2)a^{2/3} + 2/n``
 is tabulated at the observed ``a``.
 
-Each ``n`` of the sweep is one :class:`TrialSpec` (the comparison size
-also runs the local router inside the same unit), so the scaling-fit
-points arrive in deterministic order whatever the schedule.  Its arguments are plain scalars, so the unit stays self-contained:
-the heavy objects are built inside the worker, and there is no
-shared payload to ship.
+Every trial of every ``n`` is its own :class:`TrialSpec`, one group
+per ``n`` plus one group of local-router trials at the comparison
+size, so the largest ``n`` fans out across workers.  Each spec is
+**workload-referenced**: the point's shared context (graph, router,
+pair) rides in one :class:`~repro.runtime.Workload`, shipped to a
+worker once; the specs carry only their ``(trial, seed)`` tails.
 """
 
 from __future__ import annotations
 
 from repro.analysis.phase_transition import scaling_exponent
 from repro.analysis.theory import gnp_oracle_lower_bound
-from repro.core.complexity import measure_complexity
+from repro.core.complexity import assemble_measurement, complexity_specs
 from repro.experiments.registry import register
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.complete import CompleteGraph
-from repro.percolation.models import GnpPercolation
+from repro.percolation.models import gnp_factory
 from repro.routers.gnp import GnpBidirectionalRouter, GnpLocalRouter
-from repro.runtime import SerialRunner, TrialSpec
+from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -37,51 +38,6 @@ COLUMNS = [
     "theory_bound_at_a",
     "speedup_vs_local",
 ]
-
-
-def _factory(graph, p, seed):
-    return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)
-
-
-def _size_point(
-    n: int,
-    c: float,
-    trials: int,
-    seed: int,
-    compare_local: bool,
-    local_trials: int,
-    local_seed: int,
-):
-    """Measure one sweep size; ``None`` when no trial connected."""
-    graph = CompleteGraph(n)
-    m = measure_complexity(
-        graph,
-        p=c / n,
-        router=GnpBidirectionalRouter(),
-        trials=trials,
-        seed=seed,
-        model_factory=_factory,
-    )
-    if not m.connected_trials:
-        return None
-    mean_q = m.query_summary().mean
-    speedup = float("nan")
-    if compare_local:
-        local = measure_complexity(
-            graph,
-            p=c / n,
-            router=GnpLocalRouter(),
-            trials=local_trials,
-            seed=local_seed,
-            model_factory=_factory,
-        )
-        if local.connected_trials:
-            speedup = local.query_summary().mean / mean_q
-    return {
-        "connected_trials": m.connected_trials,
-        "mean_queries": mean_q,
-        "speedup_vs_local": speedup,
-    }
 
 
 def run(scale: str, seed: int, runner=None) -> ResultTable:
@@ -101,40 +57,64 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         "G(n, c/n) bidirectional oracle routing vs n (expect Theta(n^1.5))",
         columns=COLUMNS,
     )
-    specs = [
-        TrialSpec(
-            key=("e10", n),
-            fn=_size_point,
-            args=(
-                n,
-                c,
-                trials,
-                derive_seed(seed, "e10", n),
-                n == compare_local_at,
-                max(4, trials // 2),
-                derive_seed(seed, "e10-local", n),
+    local_trials = max(4, trials // 2)
+    groups = [
+        (
+            n,
+            complexity_specs(
+                CompleteGraph(n),
+                p=c / n,
+                router=GnpBidirectionalRouter(),
+                trials=trials,
+                seed=derive_seed(seed, "e10", n),
+                model_factory=gnp_factory,
+                key=("e10", n),
             ),
         )
         for n in ns
     ]
-
-    measured = {result.key: result.value for result in runner.run(specs)}
+    groups.append(
+        (
+            "local",
+            complexity_specs(
+                CompleteGraph(compare_local_at),
+                p=c / compare_local_at,
+                router=GnpLocalRouter(),
+                trials=local_trials,
+                seed=derive_seed(seed, "e10-local", compare_local_at),
+                model_factory=gnp_factory,
+                key=("e10-local", compare_local_at),
+            ),
+        )
+    )
+    records = runner.run_grouped(groups)
+    local = assemble_measurement(
+        CompleteGraph(compare_local_at),
+        c / compare_local_at,
+        GnpLocalRouter(),
+        records["local"],
+    )
     points = []
     for n in ns:
-        cells = measured[("e10", n)]
-        if cells is None:
+        m = assemble_measurement(
+            CompleteGraph(n), c / n, GnpBidirectionalRouter(), records[n]
+        )
+        if not m.connected_trials:
             continue
-        mean_q = cells["mean_queries"]
+        mean_q = m.query_summary().mean
+        speedup = float("nan")
+        if n == compare_local_at and local.connected_trials:
+            speedup = local.query_summary().mean / mean_q
         a = mean_q / n**1.5
         table.add_row(
             c=c,
             n=n,
-            connected_trials=cells["connected_trials"],
+            connected_trials=m.connected_trials,
             mean_queries=mean_q,
             queries_over_n15=a,
             observed_a=a,
             theory_bound_at_a=gnp_oracle_lower_bound(n, c, a),
-            speedup_vs_local=cells["speedup_vs_local"],
+            speedup_vs_local=speedup,
         )
         points.append((n, mean_q))
     if len(points) >= 3:

@@ -29,6 +29,9 @@ Layout
     Lockstep frontier-array routing kernels replaying the complete
     -information routers probe for probe, plus the router-kernel
     registry router types opt into.
+:mod:`~repro.kernels.gnp`
+    The event-driven ``G(n, p)`` kernel: sparse per-trial draws and
+    the growth routers replayed one newly reached vertex at a time.
 :mod:`~repro.kernels.complexity`
     The ``run_trial`` chunk compiler tying the above together, plus
     the model-kernel registry percolation factories opt into.

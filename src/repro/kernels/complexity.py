@@ -30,6 +30,11 @@ factory) make the compiler return ``None`` and the runners fall back to
 the per-trial loop.  The compiled runner reports its per-stage verdicts
 through ``stages()`` — what ``repro info``'s kernel audit prints.
 
+Workloads drawing ``G(n, p)`` through
+:func:`~repro.percolation.models.gnp_factory` skip the edge index
+altogether: :mod:`repro.kernels.gnp` compiles them, for the three
+``G(n, p)`` growth routers only.
+
 Model kernels are registered per factory *callable* with
 :func:`register_model_kernel`; :class:`~repro.percolation.models.
 TablePercolation` ships registered, site-percolation factories can opt
@@ -48,6 +53,7 @@ import numpy as np
 
 from repro.graphs.base import Graph, Vertex
 from repro.kernels.bfs import batched_connected
+from repro.kernels.gnp import compile_gnp_chunk
 from repro.kernels.percolation import (
     LazySiteDraw,
     MaskEdgePercolation,
@@ -55,7 +61,7 @@ from repro.kernels.percolation import (
 )
 from repro.kernels.routing import router_kernel_for
 from repro.kernels.topology import EdgeIndex, build_edge_index
-from repro.percolation.models import TablePercolation
+from repro.percolation.models import TablePercolation, gnp_factory
 from repro.runtime.trial import TrialExecutionError
 from repro.runtime.workload import Workload
 
@@ -358,6 +364,11 @@ def compile_run_trial_chunk(workload: Workload):
     if conditioning not in ("exact", "router", "none"):
         return None
     factory = workload.kwargs.get("model_factory") or _default_factory(graph)
+    if factory is gnp_factory:
+        # Sparse G(n, p): its own event-driven kernel, no edge index.
+        return compile_gnp_chunk(
+            graph, p, router, source, target, budget, conditioning
+        )
     try:
         compiler = _MODEL_KERNELS.get(factory)
     except TypeError:

@@ -37,6 +37,8 @@ __all__ = [
     "HashPercolation",
     "PercolationModel",
     "TablePercolation",
+    "gnp_factory",
+    "gnp_open_pairs",
 ]
 
 
@@ -144,19 +146,10 @@ class GnpPercolation(PercolationModel):
         super().__init__(CompleteGraph(n), p)
         self.n = n
         self.seed = seed
-        total_pairs = n * (n - 1) // 2
-        rng = np.random.default_rng(derive_seed(seed, "gnp-percolation"))
-        count = int(rng.binomial(total_pairs, p))
-        chosen: set[int] = set()
-        # Draw-with-replacement + dedupe is distributionally identical to
-        # without-replacement sampling and costs O(count) when p is small.
-        while len(chosen) < count:
-            batch = rng.integers(0, total_pairs, size=count - len(chosen))
-            chosen.update(int(x) for x in batch)
+        lows, highs = gnp_open_pairs(n, p, seed)
         self._open: set[tuple[int, int]] = set()
         self._adjacency: dict[int, list[int]] = {}
-        for index in sorted(chosen):
-            i, j = _pair_from_index(index)
+        for i, j in zip(lows.tolist(), highs.tolist()):
             self._open.add((i, j))
             self._adjacency.setdefault(i, []).append(j)
             self._adjacency.setdefault(j, []).append(i)
@@ -174,8 +167,50 @@ class GnpPercolation(PercolationModel):
         return len(self._open)
 
 
-def _pair_from_index(index: int) -> tuple[int, int]:
-    # Local import indirection kept minimal: reuse the tested bitops code.
-    from repro.util.bitops import pair_from_index
+def gnp_open_pairs(
+    n: int, p: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return the open pairs of one ``G(n, p)`` draw as ``(lows, highs)``.
 
-    return pair_from_index(index)
+    Pair ``k`` is ``{lows[k], highs[k]}`` with ``lows[k] < highs[k]``;
+    pairs come in increasing triangular index
+    (:func:`~repro.util.bitops.pair_index`) order.  The number of open
+    pairs is drawn ``Binomial(C(n,2), p)`` and the pairs uniformly
+    without replacement, by batched draws with replacement plus
+    dedupe.  This is the one sampler of :class:`GnpPercolation` and of
+    the chunk kernel :mod:`repro.kernels.gnp`, so both see the same
+    graph for the same seed.
+
+    >>> gnp_open_pairs(4, 1.0, seed=0)[1].tolist()
+    [1, 2, 2, 3, 3, 3]
+    """
+    total_pairs = n * (n - 1) // 2
+    rng = np.random.default_rng(derive_seed(seed, "gnp-percolation"))
+    count = int(rng.binomial(total_pairs, p))
+    chosen = np.empty(0, dtype=np.int64)
+    if count:
+        chosen = np.unique(rng.integers(0, total_pairs, size=count))
+    if chosen.size < count:
+        # Each later batch draws only the shortfall, which is small
+        # unless p is close to 1: finish the dedupe in a set.
+        seen = set(chosen.tolist())
+        while len(seen) < count:
+            batch = rng.integers(0, total_pairs, size=count - len(seen))
+            seen.update(batch.tolist())
+        chosen = np.sort(np.fromiter(seen, dtype=np.int64, count=count))
+    # Invert index = j*(j-1)/2 + i; the float root can be off by one
+    # near perfect squares, so correct it in exact integer arithmetic.
+    highs = ((np.sqrt(8.0 * chosen + 1.0) + 1.0) // 2).astype(np.int64)
+    highs -= highs * (highs - 1) // 2 > chosen
+    highs += (highs + 1) * highs // 2 <= chosen
+    return chosen - highs * (highs - 1) // 2, highs
+
+
+def gnp_factory(graph: Graph, p: float, seed: int) -> GnpPercolation:
+    """Model factory drawing ``G(n, p)`` on ``graph``'s vertex count.
+
+    The ``model_factory=`` of every ``G(n, p)`` measurement
+    (experiments E9, E10 and A3).  The chunk kernel
+    :mod:`repro.kernels.gnp` is keyed on this exact callable.
+    """
+    return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)

@@ -16,6 +16,22 @@
   local strategy but run in the *oracle* model.  Its complexity stays
   ``Θ(n²)``: the win of Theorem 11 comes from bidirectional growth, not
   from oracle access per se.
+
+The chunk kernel :mod:`repro.kernels.gnp` replays these routers one
+newly reached vertex at a time instead of one probe at a time.  It
+rests on two invariants of the code below:
+
+1. **Candidates between open probes.**  A closed probe changes nothing
+   but the prober's cursor, so while no probe opens, every growth
+   slot's candidates are the same *free* vertices (not reached, not
+   the target, on neither side) at or after its cursor, in vertex
+   order, and the slots probe them round-robin.
+2. **Probed pairs.**  A pair of a reached vertex ``z`` and a free
+   vertex ``y`` has been probed iff ``z``'s cursor is past ``y``:
+   growth probes every free vertex it scans, and nothing else probes
+   such a pair.  So the ``known_state`` check never skips a growth
+   candidate, and a bidirectional cross pair ``{y, z}`` (``y`` just
+   joined) is already known, closed, iff ``z``'s cursor is past ``y``.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ non-frozen dataclass instance): the registry lookup itself would raise
 
 from dataclasses import dataclass
 
+import pytest
+
 from repro.core.complexity import complexity_specs
 from repro.experiments.cli import _kernel_audit_line
 from repro.experiments.registry import get_experiment
@@ -114,3 +116,19 @@ def test_info_line_names_commodity_batched_routing_for_traffic_defs():
     assert "routing (commodity-batched)" in line
     pair_line = _kernel_audit_line(get_experiment("E15"))
     assert "(commodity-batched)" not in pair_line
+
+
+@pytest.mark.parametrize(
+    "experiment_id,specs", [("E9", 16), ("A3", 24), ("E10", 20)]
+)
+def test_info_line_reports_gnp_defs_fully_vectorized(experiment_id, specs):
+    # The G(n, p) growth routers ride the event-driven kernel of
+    # repro.kernels.gnp in every stage, E10's local comparison included.
+    line = _kernel_audit_line(get_experiment(experiment_id))
+    whole = f"{specs}/{specs}"
+    assert line.splitlines() == [
+        f"execution: vectorized chunk kernel ({whole} specs "
+        "kernel-eligible at tiny scale)",
+        f"stages: draw {whole} kernel  conditioning {whole} kernel  "
+        f"routing {whole} kernel",
+    ]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,10 @@ from repro.percolation.models import (
     GnpPercolation,
     HashPercolation,
     TablePercolation,
+    gnp_open_pairs,
 )
+from repro.util.bitops import pair_from_index
+from repro.util.rng import derive_seed
 
 
 class TestHashPercolation:
@@ -176,3 +180,45 @@ class TestGnpPercolation:
         m = GnpPercolation(n=n, p=c / n, seed=8)
         mean_degree = 2 * m.num_open_edges() / n
         assert 2.0 < mean_degree < 4.0
+
+
+def _reference_open_pairs(n, p, seed):
+    """The G(n, p) draw one pair at a time: set dedupe, scalar decode."""
+    total_pairs = n * (n - 1) // 2
+    rng = np.random.default_rng(derive_seed(seed, "gnp-percolation"))
+    count = int(rng.binomial(total_pairs, p))
+    chosen = set()
+    while len(chosen) < count:
+        batch = rng.integers(0, total_pairs, size=count - len(chosen))
+        chosen.update(int(x) for x in batch)
+    return [pair_from_index(index) for index in sorted(chosen)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=90),
+    p=st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.1, max_value=8.0).map(lambda c: c / 90),
+    ),
+    seed=st.integers(min_value=0, max_value=2**40),
+)
+def test_gnp_open_pairs_match_scalar_reference(n, p, seed):
+    lows, highs = gnp_open_pairs(n, p, seed)
+    pairs = list(zip(lows.tolist(), highs.tolist()))
+    assert pairs == _reference_open_pairs(n, p, seed)
+    model = GnpPercolation(n=n, p=p, seed=seed)
+    assert model._open == set(pairs)
+
+
+@pytest.mark.parametrize("n", [2**20 + 1, 3_000_017])
+def test_gnp_open_pairs_decode_large_indices(n):
+    # Triangular indices near 4.5e12, where the float root is closest
+    # to being off by one.
+    p = 40 / (n * (n - 1) // 2)
+    lows, highs = gnp_open_pairs(n, p, seed=n)
+    assert lows.size > 0
+    assert list(zip(lows.tolist(), highs.tolist())) == _reference_open_pairs(
+        n, p, n
+    )
